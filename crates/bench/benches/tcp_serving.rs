@@ -1,12 +1,12 @@
 //! Real-socket serving workloads: full and resumed HTTPS transactions
-//! against the `sslperf-net` worker-pool server, plus the handshake-only
-//! connect path and a pool-vs-event-loop concurrency comparison. The
+//! against the `sslperf-net` event-loop server, plus bulk records on one
+//! connection and the server under rising concurrency. The
 //! in-memory `table1_webserver` benches time the same anatomy without a
 //! kernel socket in the loop; the delta is the serving substrate's
 //! overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sslperf_core::net::{EventLoopServer, ServerOptions, TcpSslServer};
+use sslperf_core::net::{EventLoopServer, ServerOptions};
 use sslperf_core::prelude::*;
 use sslperf_core::ssl::ClientSession;
 use sslperf_core::websim::http::{HttpRequest, HttpResponse};
@@ -19,12 +19,12 @@ use std::time::Duration;
 const FILE_SIZE: usize = 1024;
 
 /// One shared server for every bench in this target.
-fn server() -> &'static TcpSslServer {
-    static SERVER: OnceLock<TcpSslServer> = OnceLock::new();
+fn server() -> &'static EventLoopServer {
+    static SERVER: OnceLock<EventLoopServer> = OnceLock::new();
     SERVER.get_or_init(|| {
         let mut rng = SslRng::from_seed(b"bench-tcp-server");
         let key = RsaPrivateKey::generate(1024, &mut rng).expect("keygen");
-        TcpSslServer::start(key, "bench.sslperf.test", &ServerOptions::default())
+        EventLoopServer::start(key, "bench.sslperf.test", &ServerOptions::default())
             .expect("server start")
     })
 }
@@ -148,62 +148,53 @@ fn bench_bulk_records(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pool vs event loop under rising concurrency: the same batch of
-/// concurrent full-handshake transactions (driven by the single-threaded
-/// event load generator) against both serving modes, with the connection
-/// count at 1×, 8×, and 64× the server's thread count. The pool
-/// serializes everything beyond its worker count, so its batch time grows
-/// with connections while the event loop's shards keep every socket in
-/// flight — the architectural gap the sans-io engine buys.
+/// The event loop under rising concurrency: the same batch of concurrent
+/// full-handshake transactions (driven by the single-threaded event load
+/// generator) with the connection count at 1×, 8×, and 64× the server's
+/// shard count. The shards keep every socket in flight, so batch time
+/// grows with the handshake work, not with a thread ceiling.
 fn bench_concurrency(c: &mut Criterion) {
     const THREADS: usize = 2;
-    // A 512-bit key keeps the 128-handshake batches affordable; both
-    // modes pay the identical per-handshake cost, so the comparison holds.
+    // A 512-bit key keeps the 128-handshake batches affordable.
     let mut rng = SslRng::from_seed(b"bench-tcp-concurrency");
     let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
-    let options = ServerOptions { workers: THREADS, shards: THREADS, ..ServerOptions::default() };
-    let pool =
-        TcpSslServer::start(key.clone(), "bench.sslperf.test", &options).expect("pool start");
-    let event_loop =
+    let options = ServerOptions { shards: THREADS, ..ServerOptions::default() };
+    let server =
         EventLoopServer::start(key, "bench.sslperf.test", &options).expect("event-loop start");
+    let addr = server.local_addr();
 
     let mut group = c.benchmark_group("tcp_serving/concurrency");
     group.sample_size(10);
     for multiplier in [1usize, 8, 64] {
         let connections = THREADS * multiplier;
-        for (mode, addr) in [("pool", pool.local_addr()), ("event_loop", event_loop.local_addr())] {
-            let load = EventLoadOptions {
-                connections,
-                file_size: FILE_SIZE,
-                protocol: Protocol::Ssl3,
-                suite: CipherSuite::RsaDesCbc3Sha,
-                // The pool can only establish `workers` connections at a
-                // time, so the all-at-once barrier would deadlock it; let
-                // both modes serve the batch at their natural concurrency.
-                hold_until_all_established: false,
-                deadline: Duration::from_secs(120),
-            };
-            group.bench_function(format!("{mode}/{connections}conn"), |b| {
-                b.iter(|| {
-                    let report = run_event_load(addr, &load).expect("event load");
-                    assert_eq!(report.transactions, connections);
-                    black_box(report.transactions);
-                });
+        let load = EventLoadOptions {
+            connections,
+            file_size: FILE_SIZE,
+            protocol: Protocol::Ssl3,
+            suite: CipherSuite::RsaDesCbc3Sha,
+            // Serve the batch at its natural concurrency: sockets transact
+            // as soon as they are established.
+            hold_until_all_established: false,
+            deadline: Duration::from_secs(120),
+        };
+        group.bench_function(format!("event_loop/{connections}conn"), |b| {
+            b.iter(|| {
+                let report = run_event_load(addr, &load).expect("event load");
+                assert_eq!(report.transactions, connections);
+                black_box(report.transactions);
             });
-        }
+        });
     }
     group.finish();
-    pool.shutdown();
-    event_loop.shutdown();
+    server.shutdown();
 }
 
 /// Crypto-offload ablation at 64× concurrency: the same 128-connection
-/// full-handshake batch against the worker-pool server (inline RSA), the
-/// event-loop server decrypting inline on its shards, and the event-loop
-/// server handing decryptions to 1, 2, and 4 crypto workers. Inline, a
-/// shard serialises every queued handshake behind the ~90% RSA step;
-/// offloaded, the shard keeps sweeping while workers decrypt, so tail
-/// handshake latency (p99) drops as workers are added. Each arm's
+/// full-handshake batch against the event-loop server decrypting inline
+/// on its shards, and handing decryptions to 1, 2, and 4 crypto workers.
+/// Inline, a shard serialises every queued handshake behind the ~90% RSA
+/// step; offloaded, the shard keeps sweeping while workers decrypt, so
+/// tail handshake latency (p99) drops as workers are added. Each arm's
 /// measured percentiles and throughput go to stderr — those are the
 /// numbers recorded in EXPERIMENTS.md.
 fn bench_crypto_offload(c: &mut Criterion) {
@@ -216,61 +207,34 @@ fn bench_crypto_offload(c: &mut Criterion) {
         file_size: FILE_SIZE,
         protocol: Protocol::Ssl3,
         suite: CipherSuite::RsaDesCbc3Sha,
-        // Keep the pool arm runnable with THREADS workers (see
-        // bench_concurrency); every arm still opens all sockets at once.
+        // Every arm opens all sockets at once and transacts each as soon
+        // as it is established.
         hold_until_all_established: false,
         deadline: Duration::from_secs(120),
     };
 
     let mut group = c.benchmark_group("tcp_serving/crypto_offload");
     group.sample_size(10);
-    // (label, event loop?, crypto workers)
-    let arms: [(&str, bool, usize); 5] = [
-        ("pool_inline", false, 0),
-        ("event_loop_inline", true, 0),
-        ("event_loop_1w", true, 1),
-        ("event_loop_2w", true, 2),
-        ("event_loop_4w", true, 4),
-    ];
-    for (label, event_loop, crypto_workers) in arms {
-        let options = ServerOptions {
-            workers: THREADS,
-            shards: THREADS,
-            crypto_workers,
-            ..ServerOptions::default()
-        };
-        let (addr, _pool_server, el_server);
-        if event_loop {
-            let server = EventLoopServer::start(key.clone(), "bench.sslperf.test", &options)
-                .expect("event-loop start");
-            addr = server.local_addr();
-            el_server = Some(server);
-            _pool_server = None;
-        } else {
-            let server = TcpSslServer::start(key.clone(), "bench.sslperf.test", &options)
-                .expect("pool start");
-            addr = server.local_addr();
-            _pool_server = Some(server);
-            el_server = None;
-        }
+    for (label, crypto_workers) in
+        [("event_loop_inline", 0), ("event_loop_1w", 1), ("event_loop_2w", 2), ("event_loop_4w", 4)]
+    {
+        let options = ServerOptions { shards: THREADS, crypto_workers, ..ServerOptions::default() };
+        let server = EventLoopServer::start(key.clone(), "bench.sslperf.test", &options)
+            .expect("event-loop start");
+        let addr = server.local_addr();
 
         // One measured run per arm: its percentiles are the ablation table.
         let report = run_event_load(addr, &load).expect("event load");
         let hs = &report.handshake_latency;
         eprintln!(
-            "crypto_offload/{label}/{CONNECTIONS}conn: {:.1} tx/s, handshake p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms{}",
+            "crypto_offload/{label}/{CONNECTIONS}conn: {:.1} tx/s, handshake p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms, \
+             {} jobs, queue depth max {}",
             report.transactions_per_second(),
             hs.p50.as_secs_f64() * 1e3,
             hs.p95.as_secs_f64() * 1e3,
             hs.p99.as_secs_f64() * 1e3,
-            el_server
-                .as_ref()
-                .map(|s| format!(
-                    ", {} jobs, queue depth max {}",
-                    s.stats().crypto_jobs(),
-                    s.stats().crypto_queue_depth_max()
-                ))
-                .unwrap_or_default(),
+            server.stats().crypto_jobs(),
+            server.stats().crypto_queue_depth_max(),
         );
 
         group.bench_function(format!("{label}/{CONNECTIONS}conn"), |b| {
@@ -280,12 +244,7 @@ fn bench_crypto_offload(c: &mut Criterion) {
                 black_box(report.handshake_latency.p99);
             });
         });
-        if let Some(server) = el_server {
-            server.shutdown();
-        }
-        if let Some(server) = _pool_server {
-            server.shutdown();
-        }
+        server.shutdown();
     }
     group.finish();
 }

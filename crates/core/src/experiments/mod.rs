@@ -111,8 +111,8 @@ pub enum ExperimentId {
     Table12,
     /// Cipher-suite sweep of the serving experiment.
     SuiteSweep,
-    /// Loaded server over real sockets with a worker pool and shared
-    /// session cache.
+    /// Loaded server over real sockets: the event-loop server with a
+    /// shared session cache.
     LoadedServer,
     /// Crypto-offload ablation: inline RSA vs the event-loop crypto
     /// worker pool at 1/2/4 workers (§5 "parallel crypto engines").

@@ -1,24 +1,20 @@
 //! The loaded-server experiment: the paper's serving scenario on real
-//! sockets, in both serving architectures.
+//! sockets.
 //!
 //! Table 1 and Figure 2 time the SSL pipeline in-process; this experiment
 //! closes the loop by standing up the real-socket serving layer on
-//! loopback and driving it with the concurrent socket load generator from
-//! `sslperf-websim` — once with the worker-pool server
-//! ([`sslperf_net::TcpSslServer`], one blocking thread per connection)
-//! and once with the event-loop server
-//! ([`sslperf_net::EventLoopServer`], many non-blocking connections per
-//! shard thread over the sans-io engine). The rendered report shows both
-//! modes side by side: transaction throughput, handshake and transaction
-//! latency percentiles, and the session-cache hit rate that §4.1's
-//! re-negotiation optimisation depends on.
+//! loopback ([`sslperf_net::EventLoopServer`], many non-blocking
+//! connections per shard thread over the sans-io engine) and driving it
+//! with the concurrent socket load generator from `sslperf-websim`. The
+//! rendered report shows transaction throughput, handshake and
+//! transaction latency percentiles, and the session-cache hit rate that
+//! §4.1's re-negotiation optimisation depends on.
 
 use crate::experiments::{pct, ExperimentError};
 use crate::Context;
 use sslperf_isasim::forecast::{rsa_kx_cycles, EngineConfig, ForecastModel};
 use sslperf_net::{
     EngineProfile, EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerOptions,
-    TcpSslServer,
 };
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::{Protocol, TicketKeyring};
@@ -30,9 +26,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Client- and server-side results for one serving mode.
+/// Results of one loaded-server run: client-side latency and the
+/// server's session-cache and handshake counters.
 #[derive(Debug)]
-pub struct ModeLoad {
+pub struct NetLoad {
     /// Client-side load report (throughput and latency percentiles).
     pub report: SocketLoadReport,
     /// Session-cache lookups that found a cached session.
@@ -45,7 +42,7 @@ pub struct ModeLoad {
     pub resumed_handshakes: u64,
 }
 
-impl ModeLoad {
+impl NetLoad {
     /// Cache hits as a share of all resumption-attempt lookups.
     #[must_use]
     pub fn cache_hit_percent(&self) -> f64 {
@@ -58,8 +55,10 @@ impl ModeLoad {
     }
 }
 
-impl fmt::Display for ModeLoad {
+impl fmt::Display for NetLoad {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "Loaded server (real sockets, shared session cache)")?;
+        writeln!(f, "==================================================")?;
         writeln!(f, "{}", self.report)?;
         writeln!(
             f,
@@ -68,63 +67,22 @@ impl fmt::Display for ModeLoad {
             self.cache_misses,
             pct(self.cache_hit_percent())
         )?;
-        write!(
+        writeln!(
             f,
             "  server handshakes:   {} full, {} resumed",
             self.full_handshakes, self.resumed_handshakes
-        )
-    }
-}
-
-/// Results of one loaded-server run: both serving modes under the same
-/// client workload.
-#[derive(Debug)]
-pub struct NetLoad {
-    /// The worker-pool server (one blocking thread per connection).
-    pub pool: ModeLoad,
-    /// The event-loop server (non-blocking shards over the sans-io engine).
-    pub event_loop: ModeLoad,
-}
-
-impl fmt::Display for NetLoad {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Loaded server (real sockets, shared session cache)")?;
-        writeln!(f, "==================================================")?;
-        writeln!(f, "[worker pool]")?;
-        writeln!(f, "{}", self.pool)?;
-        writeln!(f, "[event loop]")?;
-        writeln!(f, "{}", self.event_loop)?;
+        )?;
         writeln!(
             f,
             "Paper context: §4.1 — session reuse skips the RSA private-key operation,\n\
-             the single largest cost of the transaction (Tables 2–3). The two serving\n\
-             modes pay the same per-transaction SSL cost; the event loop decouples\n\
-             concurrent connections from thread count."
+             the single largest cost of the transaction (Tables 2–3)."
         )
     }
 }
 
-/// Drives one already-started server and collects its mode report.
-fn drive(
-    addr: std::net::SocketAddr,
-    options: &SocketLoadOptions,
-    cache: &sslperf_net::ShardedSessionCache,
-    stats: &sslperf_net::ServerStats,
-) -> Result<ModeLoad, ExperimentError> {
-    let report = run_socket_load(addr, options)?;
-    Ok(ModeLoad {
-        report,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        full_handshakes: stats.full_handshakes(),
-        resumed_handshakes: stats.resumed_handshakes(),
-    })
-}
-
-/// Runs the loaded-server experiment: starts each serving mode in turn
-/// sized from the context, drives it with the same concurrent resuming
-/// client workload, and collects both client-side latency and server-side
-/// cache statistics for a side-by-side comparison.
+/// Runs the loaded-server experiment: starts the event-loop server, drives
+/// it with a concurrent resuming client workload sized from the context,
+/// and collects client-side latency plus server-side cache statistics.
 ///
 /// # Errors
 ///
@@ -140,19 +98,20 @@ pub fn loaded_server(ctx: &Context) -> Result<NetLoad, ExperimentError> {
         tickets: false,
     };
 
-    let mut rng = ctx.rng("netload-server-key");
-    let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
-    let server = TcpSslServer::start(key, "www.sslperf.test", &ServerOptions::default())?;
-    let pool = drive(server.local_addr(), &options, server.session_cache(), server.stats())?;
-    server.shutdown();
-
     let mut rng = ctx.rng("netload-eventloop-key");
     let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
     let server = EventLoopServer::start(key, "www.sslperf.test", &ServerOptions::default())?;
-    let event_loop = drive(server.local_addr(), &options, server.session_cache(), server.stats())?;
+    let report = run_socket_load(server.local_addr(), &options)?;
+    let (cache, stats) = (server.session_cache(), server.stats());
+    let load = NetLoad {
+        report,
+        cache_hits: cache.hits(),
+        cache_misses: cache.misses(),
+        full_handshakes: stats.full_handshakes(),
+        resumed_handshakes: stats.resumed_handshakes(),
+    };
     server.shutdown();
-
-    Ok(NetLoad { pool, event_loop })
+    Ok(load)
 }
 
 /// One arm of the crypto-offload ablation: a serving configuration under
@@ -177,8 +136,8 @@ pub struct OffloadArm {
     pub crypto_batched_jobs: u64,
 }
 
-/// Results of the crypto-offload ablation: worker-pool inline vs
-/// event-loop inline vs event-loop with 1/2/4 parallel crypto engines.
+/// Results of the crypto-offload ablation: the event loop decrypting
+/// inline vs handing decryptions to 1/2/4 parallel crypto engines.
 #[derive(Debug)]
 pub struct CryptoOffload {
     /// Concurrent connections each arm was hit with.
@@ -232,61 +191,35 @@ fn offload_arm(
     label: String,
     crypto_workers: usize,
     batch_max: usize,
-    event_loop: bool,
     options: &EventLoadOptions,
-    connections: usize,
 ) -> Result<OffloadArm, ExperimentError> {
     let mut rng = ctx.rng(&label);
     let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
-    if event_loop {
-        let server_options = ServerOptions::builder()
-            .crypto_workers(crypto_workers)
-            .batch_max(batch_max)
-            .build()
-            .expect("ablation arms are valid configurations");
-        let server = EventLoopServer::start(key, "www.sslperf.test", &server_options)?;
-        let report = run_event_load(server.local_addr(), options)?;
-        let stats = server.stats();
-        let (jobs, depth) = (stats.crypto_jobs(), stats.crypto_queue_depth_max());
-        let (batches, batched) = (stats.crypto_batches(), stats.crypto_batched_jobs());
-        server.shutdown();
-        Ok(OffloadArm {
-            label,
-            crypto_workers,
-            batch_max,
-            report,
-            crypto_jobs: jobs,
-            crypto_queue_depth_max: depth,
-            crypto_batches: batches,
-            crypto_batched_jobs: batched,
-        })
-    } else {
-        // The pool server parks one blocking thread per held connection, so
-        // it needs as many workers as the burst has sockets.
-        let server_options = ServerOptions::builder()
-            .workers(connections)
-            .build()
-            .expect("ablation arms are valid configurations");
-        let server = TcpSslServer::start(key, "www.sslperf.test", &server_options)?;
-        let report = run_event_load(server.local_addr(), options)?;
-        server.shutdown();
-        Ok(OffloadArm {
-            label,
-            crypto_workers,
-            batch_max,
-            report,
-            crypto_jobs: 0,
-            crypto_queue_depth_max: 0,
-            crypto_batches: 0,
-            crypto_batched_jobs: 0,
-        })
-    }
+    let server_options = ServerOptions::builder()
+        .crypto_workers(crypto_workers)
+        .batch_max(batch_max)
+        .build()
+        .expect("ablation arms are valid configurations");
+    let server = EventLoopServer::start(key, "www.sslperf.test", &server_options)?;
+    let report = run_event_load(server.local_addr(), options)?;
+    let stats = server.stats();
+    let arm = OffloadArm {
+        label,
+        crypto_workers,
+        batch_max,
+        report,
+        crypto_jobs: stats.crypto_jobs(),
+        crypto_queue_depth_max: stats.crypto_queue_depth_max(),
+        crypto_batches: stats.crypto_batches(),
+        crypto_batched_jobs: stats.crypto_batched_jobs(),
+    };
+    server.shutdown();
+    Ok(arm)
 }
 
 /// Runs the crypto-offload ablation: the same all-at-once concurrent
-/// handshake burst against the worker-pool server (inline RSA), the
-/// event-loop server decrypting inline, and the event-loop server backed
-/// by 1, 2 and 4 crypto workers.
+/// handshake burst against the event-loop server decrypting inline and
+/// backed by 1, 2 and 4 crypto workers, plus one batching arm.
 ///
 /// # Errors
 ///
@@ -302,39 +235,13 @@ pub fn crypto_offload(ctx: &Context) -> Result<CryptoOffload, ExperimentError> {
         deadline: Duration::from_secs(60),
     };
 
-    let mut arms = Vec::new();
-    arms.push(offload_arm(
-        ctx,
-        format!("pool-inline ({connections} thr)"),
-        0,
-        1,
-        false,
-        &options,
-        connections,
-    )?);
-    arms.push(offload_arm(ctx, "event-loop inline".into(), 0, 1, true, &options, connections)?);
+    let mut arms = vec![offload_arm(ctx, "event-loop inline".into(), 0, 1, &options)?];
     for workers in [1usize, 2, 4] {
-        arms.push(offload_arm(
-            ctx,
-            format!("event-loop +{workers} crypto"),
-            workers,
-            1,
-            true,
-            &options,
-            connections,
-        )?);
+        arms.push(offload_arm(ctx, format!("event-loop +{workers} crypto"), workers, 1, &options)?);
     }
     // The batching arm: same pool as "+2 crypto", but the collector may
     // combine up to 4 queued decryptions into one amortized batch.
-    arms.push(offload_arm(
-        ctx,
-        "event-loop +2 crypto b4".into(),
-        2,
-        4,
-        true,
-        &options,
-        connections,
-    )?);
+    arms.push(offload_arm(ctx, "event-loop +2 crypto b4".into(), 2, 4, &options)?);
     Ok(CryptoOffload { connections, arms })
 }
 
@@ -845,17 +752,13 @@ mod tests {
     #[test]
     fn loaded_server_resumes_and_reports() {
         let nl = loaded_server(ctx()).expect("loaded server");
-        for (mode, load) in [("pool", &nl.pool), ("event loop", &nl.event_loop)] {
-            assert!(load.report.transactions > 0, "{mode}: measured transactions");
-            assert!(load.cache_hits > 0, "{mode}: resumption must hit the shared cache");
-            assert!(load.resumed_handshakes > 0, "{mode}: server must see resumed handshakes");
-        }
+        assert!(nl.report.transactions > 0, "measured transactions");
+        assert!(nl.cache_hits > 0, "resumption must hit the shared cache");
+        assert!(nl.resumed_handshakes > 0, "server must see resumed handshakes");
         let rendered = nl.to_string();
         assert!(rendered.contains("transactions/s"), "throughput line: {rendered}");
         assert!(rendered.contains("p50"), "percentile lines: {rendered}");
         assert!(rendered.contains("session cache"), "cache line: {rendered}");
-        assert!(rendered.contains("[worker pool]"), "pool section: {rendered}");
-        assert!(rendered.contains("[event loop]"), "event-loop section: {rendered}");
     }
 
     #[test]
@@ -912,7 +815,7 @@ mod tests {
     #[test]
     fn crypto_offload_runs_all_arms() {
         let co = crypto_offload(ctx()).expect("crypto offload ablation");
-        assert_eq!(co.arms.len(), 6, "pool-inline, el-inline, +1/+2/+4 workers, batched");
+        assert_eq!(co.arms.len(), 5, "inline, +1/+2/+4 workers, batched");
         for arm in &co.arms {
             assert_eq!(
                 arm.report.transactions, co.connections,

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use sslperf_hashes::{HashAlg, Hasher, Hmac, Md5, Sha1};
     pub use sslperf_net::{
         EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerMetrics, ServerOptions,
-        ShardedSessionCache, TcpSslServer,
+        ShardedSessionCache,
     };
     pub use sslperf_profile::{Cycles, PhaseSet, Table};
     pub use sslperf_rng::SslRng;

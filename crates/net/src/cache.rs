@@ -1,8 +1,8 @@
 //! A sharded, bounded session cache for multi-threaded serving.
 //!
 //! The default [`SimpleSessionCache`](sslperf_ssl::SimpleSessionCache)
-//! funnels every connection through one mutex; under a worker pool that
-//! lock is the first thing to contend. [`ShardedSessionCache`] stripes the
+//! funnels every connection through one mutex; with several shard threads
+//! that lock is the first thing to contend. [`ShardedSessionCache`] stripes the
 //! id space over N independently locked shards (FNV-1a of the session id
 //! picks the shard), bounds each shard with least-recently-used eviction,
 //! optionally expires sessions by age ([`ShardedSessionCache::with_ttl`] —

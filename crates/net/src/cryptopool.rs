@@ -801,15 +801,15 @@ mod tests {
         // Saturate: 1 worker × QUEUE_DEPTH_PER_WORKER slots, plus however
         // many the worker dequeues while we enqueue; keep submitting fresh
         // jobs until one bounces.
+        let mut jobs = saturating_jobs(&config);
         let mut submitted = 0u64;
         let bounced = loop {
-            let (_, job) = suspended_job(&config, submitted);
+            let job = jobs.next().expect("queue never filled");
             match pool.try_submit(submitted, job, &reply_tx) {
                 Ok(()) => submitted += 1,
                 Err(SubmitError::QueueFull { job, .. }) => break job,
                 Err(SubmitError::ShutDown(_)) => panic!("pool is running"),
             }
-            assert!(submitted < 256, "queue never filled");
         };
         // The bounced job is intact: executing it directly still works.
         let done = bounced.execute(config.key());
@@ -933,15 +933,15 @@ mod tests {
 
         // Saturate the queue with fresh jobs until one bounces: that
         // bounced submission is shard A's parked handshake.
+        let mut jobs = saturating_jobs(&config);
         let mut submitted = 0u64;
         let (mut parked_job, ticket) = loop {
-            let (_, job) = suspended_job(&config, submitted);
+            let job = jobs.next().expect("queue never filled");
             match pool.try_submit(submitted, job, &reply_tx) {
                 Ok(()) => submitted += 1,
                 Err(SubmitError::QueueFull { job, ticket }) => break (job, ticket),
                 Err(SubmitError::ShutDown(_)) => panic!("pool is running"),
             }
-            assert!(submitted < 256, "queue never filled");
         };
 
         // Shard B floods fresh submissions while shard A retries each
@@ -1173,6 +1173,14 @@ mod tests {
 
     /// Builds a server engine suspended at the RSA boundary and returns
     /// its crypto job.
+    /// 256 jobs to saturate a pool with, all suspended before the first is
+    /// submitted. Suspending a handshake costs about as much as the
+    /// decrypt a worker runs, so generating each job between submissions
+    /// lets the worker keep pace and the queue may never fill.
+    fn saturating_jobs(config: &Arc<ServerConfig>) -> std::vec::IntoIter<CryptoJob> {
+        (0..256).map(|seq| suspended_job(config, seq).1).collect::<Vec<_>>().into_iter()
+    }
+
     fn suspended_job(config: &Arc<ServerConfig>, seq: u64) -> (Engine<SslServer<'_>>, CryptoJob) {
         let seed = format!("cp-fq-c-{seq}");
         let mut client = Engine::new(SslClient::new(

@@ -1,16 +1,16 @@
-//! Event-driven serving mode: many connections multiplexed per thread.
+//! The serving engine: many connections multiplexed per thread.
 //!
-//! The worker-pool server ([`crate::TcpSslServer`]) dedicates one blocking
-//! thread to each in-flight connection, so its concurrency ceiling is the
-//! worker count. [`EventLoopServer`] instead runs a small number of *shard*
+//! A thread-per-connection server's concurrency ceiling is its thread
+//! count. [`EventLoopServer`] instead runs a small number of *shard*
 //! threads, each sweeping a set of non-blocking sockets: every connection
 //! holds a sans-io [`ServerEngine`] plus its socket, and a shard makes
 //! whatever progress each socket's readiness allows — partial reads feed
 //! the engine byte-by-byte, partial writes drain its outbound buffer, and
 //! the engine's own buffering reassembles records and handshake messages
 //! split across arbitrary TCP boundaries. One shard comfortably carries
-//! an order of magnitude more concurrent handshakes than a pool worker,
-//! which is the C10k argument the paper's serving analysis leads to.
+//! an order of magnitude more concurrent handshakes than a blocking
+//! thread can, which is the C10k argument the paper's serving analysis
+//! leads to.
 //!
 //! There is no async runtime and no `poll(2)` binding here (the workspace
 //! forbids unsafe code and external deps): readiness is discovered by
@@ -19,17 +19,17 @@
 //! idle latency (~0.5 ms) but keeps the loop dependency-free while
 //! preserving the architecture under study.
 //!
-//! Stalled connections are evicted by per-connection deadlines (the same
-//! [`ServerOptions::io_timeout`] knob the pool uses for socket timeouts):
-//! a connection that neither delivers nor accepts bytes before its
-//! deadline is counted in [`ServerStats::timeouts`] and closed with an
-//! alert — fatal `handshake_failure` mid-handshake (a slowloris suspect),
-//! orderly `close_notify` once established.
+//! Stalled connections are evicted by per-connection deadlines
+//! ([`ServerOptions::io_timeout`]): a connection that neither delivers
+//! nor accepts bytes before its deadline is counted in
+//! [`ServerStats::timeouts`] and closed with an alert — fatal
+//! `handshake_failure` mid-handshake (a slowloris suspect), orderly
+//! `close_notify` once established.
 
 use crate::cache::ShardedSessionCache;
 use crate::cryptopool::{CryptoPool, PoolReply, SubmitError};
 use crate::metrics::ServerMetrics;
-use crate::server::{alert_for_close, build_config, serve_request, ServerOptions, ServerStats};
+use crate::server::{build_config, serve_request, ServerOptions, ServerStats};
 use sslperf_profile::measure;
 use sslperf_rng::SslRng;
 use sslperf_rsa::RsaPrivateKey;
@@ -77,12 +77,10 @@ impl Intake {
     }
 }
 
-/// A running SSL web server in event-loop mode.
+/// A running SSL web server on a real socket.
 ///
 /// Started with [`EventLoopServer::start`]; serves until
-/// [`EventLoopServer::shutdown`] (or drop). Shares [`ServerOptions`],
-/// [`ServerStats`], and the sharded session cache with the worker-pool
-/// mode so experiments can compare the two architectures directly.
+/// [`EventLoopServer::shutdown`] (or drop).
 #[derive(Debug)]
 pub struct EventLoopServer {
     addr: SocketAddr,
@@ -722,7 +720,12 @@ impl<'a> Conn<'a> {
             SslError::Io(_) => {}
             _ => {
                 stats.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(alert) = alert_for_close(error, self.engine.is_established()) {
+                // A peer's own fatal alert leaves nobody to tell. Anything
+                // else maps through `Alert::for_error`, defaulting to a
+                // fatal `illegal_parameter` for decode-class errors.
+                if !matches!(error, SslError::PeerAlert(_)) {
+                    let alert = Alert::for_error(error)
+                        .unwrap_or_else(|| Alert::fatal(AlertDescription::IllegalParameter));
                     if self.engine.queue_alert(alert).is_ok() {
                         stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
                     }

@@ -135,16 +135,6 @@ pub enum SslError {
     Io(String),
 }
 
-impl SslError {
-    /// True when this is an I/O error caused by a socket read/write
-    /// timeout (the slowloris guard in the serving layer), as opposed to a
-    /// protocol violation or a hard transport failure.
-    #[must_use]
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, SslError::Io(what) if what.starts_with("timed out"))
-    }
-}
-
 impl fmt::Display for SslError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

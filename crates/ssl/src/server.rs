@@ -907,16 +907,6 @@ impl<'a> SslServer<'a> {
         self.records.seal(ContentType::Alert, &crate::alert::Alert::close_notify().to_bytes())
     }
 
-    /// Seals an alert record in whatever cipher state the connection is in
-    /// — usable mid-handshake, so error paths can say why they are closing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates record-layer failures.
-    pub fn seal_alert(&mut self, alert: &crate::alert::Alert) -> Result<Vec<u8>, SslError> {
-        self.records.seal(ContentType::Alert, &alert.to_bytes())
-    }
-
     /// Drives the whole server side of the handshake over a [`Transport`],
     /// full or resumed: one sans-io [`Engine`] fed one record per read,
     /// with replies flushed as soon as they are complete.

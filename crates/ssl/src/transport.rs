@@ -87,9 +87,9 @@ pub fn read_record<T: Transport + ?Sized>(transport: &mut T) -> Result<Vec<u8>, 
     Ok(buf.into_vec())
 }
 
-/// Maps a socket error, marking read/write timeouts (`WouldBlock` on Unix,
-/// `TimedOut` on Windows) so [`SslError::is_timeout`] can tell a stalled
-/// peer from a dead one.
+/// Maps a socket error, labelling read/write timeouts (`WouldBlock` on
+/// Unix, `TimedOut` on Windows) so the message tells a stalled peer from a
+/// dead one.
 fn io_error(e: &std::io::Error) -> SslError {
     match e.kind() {
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {

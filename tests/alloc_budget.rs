@@ -10,22 +10,20 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The system allocator with an allocation-event counter scoped to threads
 /// that opted in. Frees are not counted: the budget under test is "new heap
 /// memory per record".
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_allocation() {
     if TRACKING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -50,11 +48,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Counts this thread's allocation events while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     TRACKING.with(|t| t.set(true));
     let result = f();
     TRACKING.with(|t| t.set(false));
-    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (result, ALLOCATIONS.with(Cell::get) - before)
 }
 
 use sslperf::prelude::CipherSuite;

@@ -7,7 +7,7 @@
 //! quantiles. The `GET /metrics` exposition endpoint is exercised over a
 //! live SSL connection.
 
-use sslperf::net::{EventLoopServer, ServerOptions, TcpSslServer};
+use sslperf::net::{EventLoopServer, ServerOptions};
 use sslperf::prelude::*;
 use sslperf::websim::loadgen::{run_socket_load, SocketLoadOptions};
 use std::net::TcpStream;
@@ -21,7 +21,7 @@ fn key() -> RsaPrivateKey {
     RsaPrivateKey::generate(1024, &mut rng).expect("keygen")
 }
 
-/// Server-side counters update after the worker finishes its half of the
+/// Server-side counters update after the shard finishes its half of the
 /// exchange, which the client does not wait for; poll briefly.
 fn eventually(mut f: impl FnMut() -> bool) -> bool {
     for _ in 0..200 {
@@ -126,9 +126,9 @@ fn live_anatomy_reproduces_paper_shape_from_real_sockets() {
 /// registry is enabled.
 #[test]
 fn metrics_endpoint_serves_rendered_snapshot() {
-    let options = ServerOptions { workers: 2, metrics: true, ..ServerOptions::default() };
+    let options = ServerOptions { metrics: true, ..ServerOptions::default() };
     let server =
-        TcpSslServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
+        EventLoopServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
 
     // First transaction: a normal document, so the registry has content.
     let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c1"));
@@ -161,7 +161,7 @@ fn metrics_endpoint_serves_rendered_snapshot() {
     server.shutdown();
 
     // Control: with metrics off, /metrics is just an unknown document path.
-    let server = TcpSslServer::start(key(), "metrics.sslperf.test", &ServerOptions::default())
+    let server = EventLoopServer::start(key(), "metrics.sslperf.test", &ServerOptions::default())
         .expect("server start");
     assert!(server.metrics().is_none(), "registry absent by default");
     let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c2"));
