@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use sslperf_bench::{handshake, key, server_config};
 use sslperf_core::bignum::{Bn, MontCtx};
 use sslperf_core::prelude::*;
-use sslperf_core::ssl::mac as ssl3_mac;
+use sslperf_core::ssl::{dhe, mac as ssl3_mac};
 use std::hint::black_box;
 
 /// §4.1: session re-negotiation avoids the RSA private operation.
@@ -89,6 +89,45 @@ fn ablate_window(c: &mut Criterion) {
     }
     group.bench_function("square_and_multiply_no_mont", |b| {
         b.iter(|| black_box(base.mod_exp_simple(black_box(&exp), &n)));
+    });
+    group.finish();
+}
+
+/// The ffdhe2048 key share's two exponentiations at their real shapes
+/// (2048-bit modulus, 256-bit exponent): the variable-base window width
+/// `agree` runs at, and the fixed-base comb keygen runs, per tooth count,
+/// against the 4-bit window it replaced.
+fn ablate_ffdhe_exp(c: &mut Criterion) {
+    let p = Bn::from_hex(dhe::FFDHE2048_P_HEX).expect("ffdhe2048 prime literal");
+    let ctx = MontCtx::new(&p).expect("odd modulus");
+    let mut rng = SslRng::from_seed(b"ablate-ffdhe");
+    let mut draw = |len: usize| {
+        let mut buf = vec![0u8; len];
+        rng.fill_bytes(&mut buf);
+        buf[0] |= 0x80;
+        Bn::from_bytes_be(&buf)
+    };
+    let exp = draw(32);
+    let peer = draw(255);
+    let g = Bn::from_u64(dhe::FFDHE2048_G);
+    let mut group = c.benchmark_group("ablate_ffdhe_exp");
+    group.sample_size(50);
+    for window in 3u32..=6 {
+        group.bench_with_input(BenchmarkId::new("agree_window", window), &window, |b, &w| {
+            b.iter(|| black_box(ctx.mod_exp_window(black_box(&peer), &exp, w)));
+        });
+    }
+    group.bench_function("keygen_window/4", |b| {
+        b.iter(|| black_box(ctx.mod_exp(black_box(&g), &exp)));
+    });
+    for teeth in 4u32..=8 {
+        let table = ctx.comb_table(&g, 256, teeth);
+        group.bench_with_input(BenchmarkId::new("keygen_comb", teeth), &table, |b, table| {
+            b.iter(|| black_box(ctx.mod_exp_comb(table, black_box(&exp))));
+        });
+    }
+    group.bench_function(BenchmarkId::new("comb_table_build", dhe::COMB_TEETH), |b| {
+        b.iter(|| black_box(ctx.comb_table(black_box(&g), 256, dhe::COMB_TEETH)));
     });
     group.finish();
 }
@@ -188,6 +227,7 @@ criterion_group!(
     ablate_key_size,
     ablate_crt,
     ablate_window,
+    ablate_ffdhe_exp,
     ablate_fused_round,
     ablate_crypto_engine,
     ablate_three_operand

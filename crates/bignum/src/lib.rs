@@ -11,7 +11,9 @@
 //!   carry the OpenSSL names and report call/word counts to
 //!   [`sslperf_profile::counters`];
 //! * modular exponentiation uses Montgomery multiplication
-//!   ([`MontCtx`]) with a sliding window, like `BN_mod_exp_mont`.
+//!   ([`MontCtx`]) with a fixed 4-bit window, like `BN_mod_exp_mont`; a
+//!   base known ahead of time can instead use a precomputed fixed-base
+//!   comb ([`CombTable`], [`MontCtx::mod_exp_comb`]).
 //!
 //! Montgomery contexts additionally carry a raw-speed engine over **64-bit
 //! limbs** with `u128` accumulators ([`words64`]): [`MontCtx`] picks the limb
@@ -44,7 +46,7 @@ pub mod words;
 pub mod words64;
 
 pub use gcd::ExtendedGcd;
-pub use mont::{MontCtx, MontScratch};
+pub use mont::{CombTable, MontCtx, MontScratch};
 pub use prime::{generate_prime, is_probable_prime, EntropySource};
 
 use std::cmp::Ordering;

@@ -152,6 +152,37 @@ impl Mont64 {
         debug_assert_eq!(carry, 0, "a² always fits 2n limbs");
     }
 
+    /// The comb entries of [`MontCtx::comb_table`] for the reduced base
+    /// `b64`, written straight into one flat `k << teeth`-limb vector.
+    fn comb_entries(&self, b64: &[u64], teeth: usize, spacing: usize) -> Vec<u64> {
+        let k = self.k;
+        let mut t = Vec::with_capacity(k << teeth);
+        let (mut prod, mut diag, mut out, mut diff) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        prod.extend_from_slice(&self.rr);
+        self.redc(&mut prod, &mut out, &mut diff);
+        t.extend_from_slice(&out);
+        Self::mul_into(b64, &self.rr, &mut prod);
+        self.redc(&mut prod, &mut out, &mut diff);
+        t.extend_from_slice(&out);
+        for j in 1..teeth {
+            let hi = 1 << j;
+            out.clear();
+            out.extend_from_slice(&t[(hi >> 1) * k..][..k]);
+            for _ in 0..spacing {
+                Self::sqr_into(&out, &mut prod, &mut diag);
+                self.redc(&mut prod, &mut out, &mut diff);
+            }
+            t.extend_from_slice(&out);
+            for i in 1..hi {
+                Self::mul_into(&t[i * k..][..k], &t[hi * k..][..k], &mut prod);
+                self.redc(&mut prod, &mut out, &mut diff);
+                t.extend_from_slice(&out);
+            }
+        }
+        t
+    }
+
     /// Montgomery reduction of the double-width value in `t` into `out`
     /// (exactly `k` limbs), using `diff` for the conditional subtraction.
     fn redc(&self, t: &mut Vec<u64>, out: &mut Vec<u64>, diff: &mut Vec<u64>) {
@@ -386,15 +417,16 @@ impl MontCtx {
 /// Reusable work buffers for Montgomery arithmetic — the batch-friendly
 /// face of [`MontCtx`].
 ///
-/// Every [`MontCtx::mod_exp`] call allocates a fresh double-width product
-/// buffer per multiplication (~1300 of them for an RSA-half exponent) plus
-/// a 16-entry window table. A batched caller — the RSA batch-decrypt path,
-/// which runs the same-modulus exponentiation once per job — passes one
-/// `MontScratch` instead and [`MontCtx::mod_exp_scratch`] reuses these
-/// buffers across every multiplication *and* across every exponentiation
-/// sharing the scratch, leaving one allocation per result. The buffers
-/// grow to the largest modulus seen and are modulus-agnostic, so a single
-/// scratch serves both CRT halves (`mod p`, then `mod q`).
+/// Every [`MontCtx::mod_exp`] call allocates its own buffers: one scratch
+/// per call on the u64 path, and on the u32 path a fresh double-width
+/// product buffer per multiplication (~1300 of them for an RSA-half
+/// exponent) plus a 16-entry window table. A batched caller — the RSA
+/// batch-decrypt path, which runs the same-modulus exponentiation once per
+/// job — passes one `MontScratch` instead and [`MontCtx::mod_exp_scratch`]
+/// reuses these buffers across every multiplication *and* across every
+/// exponentiation sharing the scratch, leaving one allocation per result.
+/// The buffers grow to the largest modulus seen and are modulus-agnostic,
+/// so a single scratch serves both CRT halves (`mod p`, then `mod q`).
 ///
 /// # Examples
 ///
@@ -658,6 +690,182 @@ impl MontCtx {
     }
 }
 
+/// A fixed-base comb table (Lim–Lee) for one base under one [`MontCtx`]:
+/// the precomputation that turns `base^x` into ~`bits/teeth` squarings and
+/// as many table multiplications, for a base known ahead of time.
+///
+/// The exponent is cut into `teeth` rows of `spacing` bits; entry `i` holds
+/// `Π base^(2^(j·spacing))` over the set bits `j` of `i`, in Montgomery
+/// form. Evaluation ([`MontCtx::mod_exp_comb`]) walks the `spacing` columns
+/// from the top, squaring once per column and multiplying by the entry the
+/// column's `teeth` bits select. The table has `2^teeth` entries of one
+/// modulus width each — 64 KiB for 8 teeth at 2048 bits.
+///
+/// Like [`MontCtx::mod_exp`]'s window, the entry lookup is indexed by
+/// secret exponent bits and an all-zero column skips its multiplication,
+/// so neither is constant-time.
+///
+/// # Examples
+///
+/// ```
+/// use sslperf_bignum::{Bn, MontCtx};
+///
+/// let ctx = MontCtx::new(&Bn::from_u64(1_000_003))?;
+/// let table = ctx.comb_table(&Bn::from_u64(2), 32, 4);
+/// let exp = Bn::from_u64(0xdead_beef);
+/// assert_eq!(ctx.mod_exp_comb(&table, &exp), ctx.mod_exp(&Bn::from_u64(2), &exp));
+/// # Ok::<(), sslperf_bignum::BnError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct CombTable {
+    /// The base reduced mod `n`, kept for the wide-exponent fallback.
+    base: Bn,
+    /// The modulus the entries were built under.
+    n: Bn,
+    teeth: usize,
+    spacing: usize,
+    entries: CombEntries,
+}
+
+/// Comb entries in the building context's limb domain.
+#[derive(Debug, Clone)]
+enum CombEntries {
+    U32(Vec<Bn>),
+    /// `2^teeth` fixed-width entries of `k64` limbs each, back to back.
+    U64(Vec<u64>),
+}
+
+impl CombTable {
+    /// The widest exponent, in bits, the table evaluates; a wider one falls
+    /// back to [`MontCtx::mod_exp`].
+    #[must_use]
+    pub fn capacity_bits(&self) -> usize {
+        self.teeth * self.spacing
+    }
+
+    /// The table index column `col` selects: bit `j` is exponent bit
+    /// `j·spacing + col`.
+    fn index(&self, exp: &Bn, col: usize) -> usize {
+        (0..self.teeth)
+            .rev()
+            .fold(0, |idx, j| (idx << 1) | usize::from(exp.bit(j * self.spacing + col)))
+    }
+}
+
+impl MontCtx {
+    /// Builds the fixed-base comb table for `base` and exponents of up to
+    /// `exp_bits` bits, with `2^teeth` entries. A once-per-base cost of
+    /// about `exp_bits` squarings plus `2^teeth` multiplications.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `teeth` is 0 or greater than 8, or `exp_bits` is 0.
+    #[must_use]
+    pub fn comb_table(&self, base: &Bn, exp_bits: usize, teeth: u32) -> CombTable {
+        assert!((1..=8).contains(&teeth), "teeth must be 1..=8");
+        assert!(exp_bits > 0, "comb table needs a nonzero exponent width");
+        let teeth = teeth as usize;
+        let spacing = exp_bits.div_ceil(teeth);
+        let base = if base >= &self.n { base.mod_op(&self.n) } else { base.clone() };
+        // Both widths fill the same layout: entries[0] = 1·R, entries[1] =
+        // base·R; tooth j's entry base^(2^(j·spacing)) is tooth j-1's squared
+        // `spacing` times and lands at 2^j, and the 2^j - 1 entries above it
+        // are the ones below times it.
+        let entries = if let Some(m) = &self.m64 {
+            CombEntries::U64(m.comb_entries(&limbs64_from_bn(&base, m.k), teeth, spacing))
+        } else {
+            let mut entries = Vec::with_capacity(1 << teeth);
+            entries.push(self.to_mont(&Bn::one()));
+            entries.push(self.to_mont(&base));
+            for j in 1..teeth {
+                let hi = 1 << j;
+                let mut tooth = entries[hi >> 1].clone();
+                for _ in 0..spacing {
+                    tooth = self.mont_sqr(&tooth);
+                }
+                entries.push(tooth);
+                for i in 1..hi {
+                    let entry = self.mont_mul(&entries[i], &entries[hi]);
+                    entries.push(entry);
+                }
+            }
+            CombEntries::U32(entries)
+        };
+        CombTable { base, n: self.n.clone(), teeth, spacing, entries }
+    }
+
+    /// Computes `base^exp mod n` for the base `table` was built for: one
+    /// squaring per column and at most one table multiplication, in the
+    /// context's own limb domain. Returns the same value as
+    /// [`MontCtx::mod_exp`], which it falls back to when `exp` is wider
+    /// than [`CombTable::capacity_bits`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` was built by a context with another modulus or
+    /// limb width.
+    #[must_use]
+    pub fn mod_exp_comb(&self, table: &CombTable, exp: &Bn) -> Bn {
+        let same_width = matches!(
+            (&table.entries, self.limbs),
+            (CombEntries::U32(_), LimbWidth::U32) | (CombEntries::U64(_), LimbWidth::U64)
+        );
+        assert!(same_width && table.n == self.n, "comb table built for another context");
+        if exp.bit_len() > table.capacity_bits() {
+            return self.mod_exp(&table.base, exp);
+        }
+        if exp.is_zero() {
+            return Bn::one();
+        }
+        counters::count("BN_mod_exp", exp.bit_len() as u64);
+        let mut scratch = MontScratch::new();
+        match &table.entries {
+            CombEntries::U64(flat) => {
+                let m = self.m64.as_ref().expect("u64 engine present");
+                let entry = |i: usize| &flat[i * m.k..(i + 1) * m.k];
+                let MontScratch { prod64, diff64, sqtmp64, acc64, acc64b, .. } = &mut scratch;
+                acc64.extend_from_slice(entry(0));
+                for col in (0..table.spacing).rev() {
+                    if col != table.spacing - 1 {
+                        Mont64::sqr_into(acc64, prod64, sqtmp64);
+                        m.redc(prod64, acc64b, diff64);
+                        std::mem::swap(acc64, acc64b);
+                    }
+                    let idx = table.index(exp, col);
+                    if idx != 0 {
+                        Mont64::mul_into(acc64, entry(idx), prod64);
+                        m.redc(prod64, acc64b, diff64);
+                        std::mem::swap(acc64, acc64b);
+                    }
+                }
+                prod64.clear();
+                prod64.extend_from_slice(acc64);
+                m.redc(prod64, acc64b, diff64);
+                bn_from_limbs64(acc64b)
+            }
+            CombEntries::U32(entries) => {
+                let MontScratch { prod, diff, npad, sqtmp, acc, acc2, .. } = &mut scratch;
+                acc.copy_from(&entries[0]);
+                for col in (0..table.spacing).rev() {
+                    if col != table.spacing - 1 {
+                        self.mont_sqr_buf(acc, acc2, prod, diff, npad, sqtmp);
+                        std::mem::swap(acc, acc2);
+                    }
+                    let idx = table.index(exp, col);
+                    if idx != 0 {
+                        self.mont_mul_buf(acc, &entries[idx], acc2, prod, diff, npad);
+                        std::mem::swap(acc, acc2);
+                    }
+                }
+                prod.clear();
+                prod.extend_from_slice(&acc.words);
+                self.redc_buf(prod, acc2, diff, npad);
+                std::mem::take(acc2)
+            }
+        }
+    }
+}
+
 impl Bn {
     /// Computes `self^exp mod m` via a throwaway Montgomery context for odd
     /// `m`, falling back to binary square-and-multiply for even moduli.
@@ -912,6 +1120,16 @@ mod tests {
             let exp = bn("abcdef");
             assert_eq!(ctx32.mod_exp(&base, &exp), ctx64.mod_exp(&base, &exp), "modulus {n:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "another context")]
+    fn comb_rejects_a_table_from_another_width() {
+        let n = bn("fffffffffffffffffffffffffffffff1");
+        let ctx32 = MontCtx::with_limb_width(&n, LimbWidth::U32).unwrap();
+        let ctx64 = MontCtx::with_limb_width(&n, LimbWidth::U64).unwrap();
+        let table = ctx32.comb_table(&Bn::from_u64(2), 32, 4);
+        let _ = ctx64.mod_exp_comb(&table, &Bn::from_u64(5));
     }
 
     #[test]

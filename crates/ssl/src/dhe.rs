@@ -2,11 +2,14 @@
 //!
 //! The TLS 1.3-style machine's `key_share` exchange runs here: each side
 //! draws an ephemeral exponent, publishes `g^x mod p` (a fixed 256-byte
-//! big-endian encoding) and derives the shared secret `Y^x mod p` with the
-//! same Montgomery exponentiation (`crates/bignum`) the RSA path uses — so
-//! the paper's Table 7/8 "computation" accounting applies unchanged, just
-//! with two 2048-bit exponentiations per handshake instead of one CRT
-//! decryption.
+//! big-endian encoding) and derives the shared secret `Y^x mod p`. Both are
+//! 2048-bit Montgomery exponentiations on the `crates/bignum` kernels the
+//! RSA path uses, so the paper's Table 7/8 "computation" accounting
+//! applies unchanged. The base of `g^x` is fixed, so keygen runs a
+//! fixed-base comb over a table built once per process (~32 squarings and
+//! ≤32 multiplications); `Y^x` has a new base every handshake and runs the
+//! 4-bit-window `mod_exp` (~252 squarings and ~74 multiplications,
+//! its 16-entry table included).
 //!
 //! RFC 7919 fixes the group, so there are no parameters to negotiate and
 //! no small-subgroup surprises beyond the range check in
@@ -16,7 +19,7 @@
 
 use std::sync::OnceLock;
 
-use sslperf_bignum::{Bn, MontCtx};
+use sslperf_bignum::{Bn, CombTable, MontCtx};
 use sslperf_profile::counters;
 use sslperf_rng::SslRng;
 
@@ -49,9 +52,17 @@ pub const FFDHE2048_G: u64 = 2;
 /// twice the target strength).
 const EXPONENT_LEN: usize = 32;
 
+/// Tooth count of the `g^x` comb table: 2^8 entries of 256 bytes, 64 KiB
+/// per process. Chosen by the teeth sweep in EXPERIMENTS.md §ffdhe-comb;
+/// each extra tooth cuts the columns, and so the squarings, by a factor
+/// `t/(t+1)` and doubles the table.
+pub const COMB_TEETH: u32 = 8;
+
 struct Group {
     p_minus_2: Bn,
     ctx: MontCtx,
+    /// `g`'s comb table for [`EXPONENT_LEN`]-byte exponents.
+    g_comb: CombTable,
 }
 
 fn group() -> &'static Group {
@@ -60,7 +71,8 @@ fn group() -> &'static Group {
         let p = Bn::from_hex(FFDHE2048_P_HEX).expect("ffdhe2048 prime literal");
         let p_minus_2 = p.sub(&Bn::from_u64(2));
         let ctx = MontCtx::new(&p).expect("odd modulus");
-        Group { p_minus_2, ctx }
+        let g_comb = ctx.comb_table(&Bn::from_u64(FFDHE2048_G), 8 * EXPONENT_LEN, COMB_TEETH);
+        Group { p_minus_2, ctx, g_comb }
     })
 }
 
@@ -97,9 +109,10 @@ impl std::fmt::Debug for DheKeyPair {
 
 impl DheKeyPair {
     /// Draws a fresh 256-bit exponent from `rng` and computes
-    /// `g^x mod p`. The top exponent bit is pinned so every key pair
-    /// costs the same number of squarings — the anatomy ledger should
-    /// not see data-dependent exponentiation lengths.
+    /// `g^x mod p` from the per-process comb table. The top exponent bit
+    /// is pinned so every key pair costs the same number of squarings —
+    /// the anatomy ledger should not see data-dependent exponentiation
+    /// lengths.
     #[must_use]
     pub fn generate(rng: &mut SslRng) -> Self {
         counters::count("dhe_mod_exp", 1);
@@ -108,8 +121,7 @@ impl DheKeyPair {
         buf[0] |= 0x80;
         let x = Bn::from_bytes_be(&buf);
         let g = group();
-        let public =
-            g.ctx.mod_exp(&Bn::from_u64(FFDHE2048_G), &x).to_bytes_be_padded(FFDHE2048_LEN);
+        let public = g.ctx.mod_exp_comb(&g.g_comb, &x).to_bytes_be_padded(FFDHE2048_LEN);
         DheKeyPair { x, public }
     }
 

@@ -345,7 +345,9 @@ fn ffdhe2048_rfc7919_group_parameters() {
 /// them (32 seeded bytes, top bit pinned), then the exponentiations run
 /// through an explicit [`MontCtx`] per width — so a u64-kernel bug that
 /// skews any 2048-bit exponentiation breaks this test by name, whatever
-/// the process default width is.
+/// the process default width is. The public values are computed twice per
+/// width, by the windowed `mod_exp` and by the fixed-base comb keygen
+/// uses, against the same digests.
 #[test]
 fn ffdhe2048_golden_transcript_per_limb_width() {
     let p = Bn::from_hex(dhe::FFDHE2048_P_HEX).expect("ffdhe2048 prime literal");
@@ -362,18 +364,23 @@ fn ffdhe2048_golden_transcript_per_limb_width() {
         let g = Bn::from_u64(dhe::FFDHE2048_G);
         let pub_a = ctx.mod_exp(&g, &xa).to_bytes_be_padded(dhe::FFDHE2048_LEN);
         let pub_b = ctx.mod_exp(&g, &xb).to_bytes_be_padded(dhe::FFDHE2048_LEN);
-        assert_eq!(
-            hex(&Sha256::digest(&pub_a)),
-            "5bc4f8571607ec1826e780b4be7bede013ee449b68e27c354b1c7dcac02bf53f",
-            "public A drifted under {} limbs",
-            limbs.name()
-        );
-        assert_eq!(
-            hex(&Sha256::digest(&pub_b)),
-            "5b130a9e57651d0a1019582f1bbbd46e462c9c03052348ee9012e16a235c2ead",
-            "public B drifted under {} limbs",
-            limbs.name()
-        );
+        let comb = ctx.comb_table(&g, 256, dhe::COMB_TEETH);
+        let comb_a = ctx.mod_exp_comb(&comb, &xa).to_bytes_be_padded(dhe::FFDHE2048_LEN);
+        let comb_b = ctx.mod_exp_comb(&comb, &xb).to_bytes_be_padded(dhe::FFDHE2048_LEN);
+        for (path, public_a, public_b) in [("window", &pub_a, &pub_b), ("comb", &comb_a, &comb_b)] {
+            assert_eq!(
+                hex(&Sha256::digest(public_a)),
+                "5bc4f8571607ec1826e780b4be7bede013ee449b68e27c354b1c7dcac02bf53f",
+                "public A drifted under {} limbs ({path})",
+                limbs.name()
+            );
+            assert_eq!(
+                hex(&Sha256::digest(public_b)),
+                "5b130a9e57651d0a1019582f1bbbd46e462c9c03052348ee9012e16a235c2ead",
+                "public B drifted under {} limbs ({path})",
+                limbs.name()
+            );
+        }
         let shared_a =
             ctx.mod_exp(&Bn::from_bytes_be(&pub_b), &xa).to_bytes_be_padded(dhe::FFDHE2048_LEN);
         let shared_b =

@@ -609,6 +609,47 @@ proptest! {
             c64.mod_exp_window(&a, &exp, window));
     }
 
+    /// The fixed-base comb against the windowed `mod_exp` on both limb
+    /// widths, for random odd 64–2048-bit moduli, bases, tooth counts and
+    /// table widths. The exponents hit the comb's edges: 0 and 1, the top
+    /// bit alone, all ones, a random one exactly the table's capacity
+    /// wide, and one a bit wider, which takes the `mod_exp` fallback.
+    #[test]
+    fn comb_agrees_with_mod_exp_across_limb_widths(
+        n_words in vec(any::<u32>(), 2..=64),
+        base in vec(any::<u32>(), 0..=64),
+        exp_bits in 1usize..=288,
+        teeth in 1u32..=8,
+        exp_words in vec(any::<u32>(), 10..=10),
+    ) {
+        use sslperf::bignum::{LimbWidth, MontCtx};
+        let mut n = n_words.clone();
+        n[0] |= 1;
+        *n.last_mut().expect("two words") |= 1 << 31;
+        let n = bn_from(&n);
+        let base = bn_from(&base);
+        let random = bn_from(&exp_words);
+        let pow2 = |bits: usize| Bn::one().shl(bits);
+        // A random exponent exactly `bits` wide: top bit set, the rest drawn.
+        let exactly = |bits: usize| random.mod_op(&pow2(bits - 1)).add(&pow2(bits - 1));
+        for limbs in [LimbWidth::U32, LimbWidth::U64] {
+            let ctx = MontCtx::with_limb_width(&n, limbs).expect("odd modulus");
+            let table = ctx.comb_table(&base, exp_bits, teeth);
+            let cap = table.capacity_bits();
+            prop_assert!(cap >= exp_bits && cap < exp_bits + teeth as usize);
+            for exp in [
+                Bn::zero(),
+                Bn::one(),
+                pow2(cap - 1),
+                pow2(cap).sub(&Bn::one()),
+                exactly(cap),
+                exactly(cap + 1),
+            ] {
+                prop_assert_eq!(ctx.mod_exp_comb(&table, &exp), ctx.mod_exp(&base, &exp));
+            }
+        }
+    }
+
     /// AES backends in lockstep: the auto-resolved cipher, the forced
     /// table rounds, and (when the CPU has it) forced AES-NI encrypt and
     /// decrypt byte-identically for every key size.
